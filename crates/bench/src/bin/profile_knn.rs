@@ -85,8 +85,7 @@ fn main() {
         println!("{name}: total influence objects {inf}");
     }
 
-    // full queries, with the two-tier refinement split per engine
-    scan.refine_stats().reset();
+    // full queries
     let t = Instant::now();
     for _ in 0..5 {
         std::hint::black_box(scan.knn_threshold(&r, k, tau));
@@ -95,8 +94,6 @@ fn main() {
         "scan knn_threshold:    {:.1} ms",
         t.elapsed().as_secs_f64() / 5.0 * 1e3
     );
-    print_tier_split("scan", scan.refine_stats());
-    indexed.refine_stats().reset();
     let t = Instant::now();
     for _ in 0..5 {
         std::hint::black_box(indexed.knn_threshold(&r, k, tau));
@@ -104,21 +101,5 @@ fn main() {
     println!(
         "indexed knn_threshold: {:.1} ms",
         t.elapsed().as_secs_f64() / 5.0 * 1e3
-    );
-    print_tier_split("indexed", indexed.refine_stats());
-}
-
-fn print_tier_split(name: &str, stats: &udb_core::RefineStats) {
-    println!(
-        "{name} rounds: {} tier-1 skipped / {} tier-2 exact ({:.1}% tier-1; \
-         prefilter {})",
-        stats.tier1_skipped(),
-        stats.tier2_exact(),
-        stats.tier1_rate() * 100.0,
-        if IdcaConfig::default().prefilter {
-            "on"
-        } else {
-            "off"
-        },
     );
 }

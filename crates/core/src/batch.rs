@@ -2,17 +2,12 @@
 //! decomposition cache and the shared refinement context.
 //!
 //! The per-query entry points rebuild everything from scratch for every
-//! query — candidate generation descends the R-tree once per query, and
-//! every refiner recomputes the kd-tree decomposition of every object it
-//! touches, even when the previous query just refined the same objects.
-//! A [`QueryBatch`] amortizes that repeated work across the queries of
-//! one arrival batch:
+//! query — every refiner recomputes the kd-tree decomposition of every
+//! object it touches, even when the previous query just refined the same
+//! objects. A [`QueryBatch`] amortizes that repeated work across the
+//! queries of one arrival batch (candidate generation stays one R-tree
+//! descent per query: it is a negligible share of a query's cost):
 //!
-//! * **Grouped candidate generation** — all kNN-style queries of the
-//!   batch share *one* best-first R-tree descent
-//!   ([`crate::Engine::knn_candidates_batch`]): each tree node is tested
-//!   once against every query that still wants it, instead of the tree
-//!   being re-descended per query.
 //! * **Cross-query decomposition cache** — a [`DecompCache`] keyed by
 //!   object id memoizes every expansion level of every object's
 //!   decomposition. Splitting a partition evaluates PDF medians and

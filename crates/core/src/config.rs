@@ -83,24 +83,6 @@ pub struct IdcaConfig {
     /// other thread knobs). Irrelevant at one shard (the plain engine
     /// path has no per-shard work to fan).
     pub shard_threads: usize,
-    /// Materialization threshold of the sharded router's parallel
-    /// candidate collection: when [`IdcaConfig::shard_threads`] `> 1`,
-    /// per-shard candidate streams are only materialized (each shard's
-    /// best-first walk drained under its own shard-local bound, then
-    /// k-way merged) when at least one shard holds this many objects;
-    /// below the threshold every shard is small enough that the lazy
-    /// merged stream under the single global bound wins — the fan-out's
-    /// per-shard setup costs more than it saves. The choice is
-    /// work-only: both paths feed the identical merge under the single
-    /// global `tighten_dk` bound, so results are bit-identical at
-    /// every threshold (swept by `tests/sharded_equivalence.rs`).
-    ///
-    /// `0` (the default) always materializes under fan-out — the
-    /// pre-knob behavior. The default honours the
-    /// `UDB_SHARD_MATERIALIZE_MIN` environment variable (`0`
-    /// meaningful, unparsable input falls back). Irrelevant at
-    /// `shard_threads == 1` (the lazy stream is always used).
-    pub shard_materialize_min: usize,
     /// Capacity (in objects) of the owned [`crate::Engine`]'s
     /// **persistent** cross-batch decomposition cache: how many objects'
     /// kd-decomposition expansion levels survive between `run_batch` /
@@ -120,22 +102,6 @@ pub struct IdcaConfig {
     /// variable (CI shim: the `{0, 64}` matrix keeps the cache-off and
     /// eviction paths exercised on every push).
     pub decomp_cache_entries: usize,
-    /// Enables the tier-1 min/max bound prefilter in front of the exact
-    /// UGF refinement: each round first computes O(n)-per-pair CDF
-    /// brackets ([`udb_genfunc::MinMaxCdf`]) and skips the exact
-    /// aggregation whenever the brackets *prove* the round could neither
-    /// decide the query nor meet the stop criterion. The cheap tier only
-    /// ever decides whether the exact tier runs — never what it returns —
-    /// so results are bit-identical with the prefilter on or off
-    /// (property-tested); the knob trades a cheap extra pass on
-    /// terminal rounds for skipping the O(k²)-per-pair UGF work on
-    /// non-terminal ones.
-    ///
-    /// `false` (the default) keeps the exact-only semantics of previous
-    /// releases. The default honours the `UDB_PREFILTER` environment
-    /// variable (CI shim: the `{0, 1}` matrix runs every default-config
-    /// test through both tiers).
-    pub prefilter: bool,
     /// Fsync cadence of a durable engine's WAL: the segment is forced
     /// to stable storage every this many appended records. `1` (the
     /// default: every record is durable the moment the mutation call
@@ -231,32 +197,6 @@ fn default_checkpoint_every() -> usize {
     })
 }
 
-/// Default prefilter setting: `UDB_PREFILTER=1` (or any non-zero
-/// integer) switches the two-tier pipeline on; `0`, junk or an unset
-/// variable keep the exact-only path.
-fn default_prefilter() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("UDB_PREFILTER")
-            .ok()
-            .and_then(|v| v.parse::<i64>().ok())
-            .is_some_and(|v| v != 0)
-    })
-}
-
-/// Default materialization threshold of the sharded candidate fan-out;
-/// `0` is meaningful (always materialize under fan-out), so only
-/// unparsable input falls back to 0.
-fn default_shard_materialize_min() -> usize {
-    static MIN: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *MIN.get_or_init(|| {
-        std::env::var("UDB_SHARD_MATERIALIZE_MIN")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0)
-    })
-}
-
 impl Default for IdcaConfig {
     fn default() -> Self {
         IdcaConfig {
@@ -269,9 +209,7 @@ impl Default for IdcaConfig {
             candidate_threads: default_candidate_threads(),
             batch_threads: default_batch_threads(),
             shard_threads: default_shard_threads(),
-            shard_materialize_min: default_shard_materialize_min(),
             decomp_cache_entries: default_decomp_cache_entries(),
-            prefilter: default_prefilter(),
             wal_sync_every: default_wal_sync_every(),
             checkpoint_every: default_checkpoint_every(),
         }

@@ -39,7 +39,7 @@ pub use batch::{DecompCache, QueryBatch, QuerySpec, SharedDecomp, SharedRefineCt
 pub use config::{IdcaConfig, ObjRef, Predicate, RefineGoal};
 pub use durable::{DurableError, RecoveryReport};
 pub use engine::Engine;
-pub use parallel::{par_knn_threshold, PoolHandle, WorkerPool};
+pub use parallel::{PoolHandle, WorkerPool};
 pub use queries::{ExpectedRankEntry, QueryEngine, RankDistribution, ThresholdResult};
 pub use refiner::{
     refine_lockstep, refine_top_m, DbView, DomCountSnapshot, RefineStats, Refiner, ScratchPool,

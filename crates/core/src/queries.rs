@@ -1,14 +1,12 @@
 //! Probabilistic similarity queries on top of the domination count (§VI).
 
-use std::sync::Arc;
-
 use udb_genfunc::CountDistributionBounds;
 use udb_geometry::Rect;
 use udb_object::{Database, ObjectId, UncertainObject};
 
 use crate::config::{IdcaConfig, ObjRef, Predicate};
 use crate::parallel::PoolHandle;
-use crate::refiner::{DomCountSnapshot, RefineStats, Refiner};
+use crate::refiner::{DomCountSnapshot, Refiner};
 
 /// High-level query interface over an uncertain database.
 #[derive(Debug, Clone)]
@@ -16,11 +14,8 @@ pub struct QueryEngine<'a> {
     db: &'a Database,
     cfg: IdcaConfig,
     /// The engine's persistent worker pool (created lazily, shared by
-    /// every refiner this engine builds and by the parallel executor).
+    /// every refiner this engine builds).
     pool: PoolHandle,
-    /// Two-tier refinement counters, shared by every refiner this engine
-    /// builds (clones of the engine keep sharing them).
-    stats: Arc<RefineStats>,
 }
 
 /// Per-object outcome of a threshold query.
@@ -106,7 +101,6 @@ impl<'a> QueryEngine<'a> {
             db,
             cfg,
             pool: PoolHandle::default(),
-            stats: Arc::new(RefineStats::default()),
         }
     }
 
@@ -120,20 +114,6 @@ impl<'a> QueryEngine<'a> {
         &self.cfg
     }
 
-    /// The engine's shared worker-pool handle (refiners built through
-    /// [`QueryEngine::refiner`] and the parallel executor all draw from
-    /// this pool).
-    pub fn pool_handle(&self) -> &PoolHandle {
-        &self.pool
-    }
-
-    /// The engine's two-tier refinement counters: how many rounds across
-    /// all refiners were decided by the tier-1 prefilter vs. computed by
-    /// the exact tier-2 UGF snapshot (see [`IdcaConfig::prefilter`]).
-    pub fn refine_stats(&self) -> &Arc<RefineStats> {
-        &self.stats
-    }
-
     /// Builds a refiner for an ad-hoc domination-count computation.
     pub fn refiner(
         &self,
@@ -143,7 +123,6 @@ impl<'a> QueryEngine<'a> {
     ) -> Refiner<'a> {
         Refiner::new(self.db, target, reference, self.cfg.clone(), predicate)
             .with_pool(self.pool.clone())
-            .with_stats(Arc::clone(&self.stats))
     }
 
     /// Fully refines the domination count of `target` w.r.t. `reference`.

@@ -67,8 +67,8 @@ use crate::refiner::{refine_lockstep, refine_top_m, DbView, RefineStats, Refiner
 /// Per-query execution slot of one batch run (the `fan_each` item).
 struct QueryTask<'a> {
     query: QueryView<'a>,
-    /// Index-driven candidates from the grouped descent (kNN-style
-    /// queries only; RkNN prefilters per database object instead).
+    /// Index-driven candidates, sorted by id (kNN-style queries only;
+    /// RkNN prefilters per database object instead).
     candidates: Vec<ObjectId>,
     out: Vec<ThresholdResult>,
 }
@@ -104,11 +104,6 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
     /// dominated by at least `k` others w.r.t. `q` under the
     /// MinDist/MaxDist filter. Unsorted (discovery order).
     fn knn_candidates(&self, q: &Rect, k: usize) -> Vec<ObjectId>;
-
-    /// Candidate sets for many `(query MBR, k)` requests; each set
-    /// equals [`QueryPlane::knn_candidates`] for that request, sorted
-    /// by id.
-    fn knn_candidates_batch(&self, queries: &[(Rect, usize)]) -> Vec<Vec<ObjectId>>;
 
     /// Visits every live object in ascending id order (the RkNN
     /// pipeline's candidate enumeration).
@@ -211,57 +206,38 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         refine_top_m(refiners, m)
     }
 
-    /// Executes a set of query views through one shared pass: grouped
-    /// candidate generation, the context's decomposition cache, recycled
-    /// refiner scratch, and query-level fan-out over
-    /// [`crate::IdcaConfig::batch_threads`] worker-pool lanes. Returns
-    /// one result vector per query, aligned with input order; each
-    /// vector is exactly what the corresponding per-query entry point
-    /// returns — bit-identical bounds, iteration counts and ordering, at
-    /// every lane count and cache capacity.
+    /// Executes a set of query views through one shared pass: the
+    /// context's decomposition cache, recycled refiner scratch, and
+    /// query-level fan-out over [`crate::IdcaConfig::batch_threads`]
+    /// worker-pool lanes. Returns one result vector per query, aligned
+    /// with input order; each vector is exactly what the corresponding
+    /// per-query entry point returns — bit-identical bounds, iteration
+    /// counts and ordering, at every lane count and cache capacity.
     fn run_views(
         &self,
         views: &[QueryView<'a>],
         ctx: &SharedRefineCtx,
     ) -> Vec<Vec<ThresholdResult>> {
-        // one grouped descent for every kNN-style candidate set
-        let requests: Vec<(Rect, usize)> = views
-            .iter()
-            .filter_map(|view| match *view {
-                QueryView::Knn { q, k, .. } => Some((q.mbr().clone(), k)),
-                QueryView::TopM { q, .. } => Some((q.mbr().clone(), 1)),
-                QueryView::Rknn { .. } => None,
-            })
-            .collect();
-        // the grouped descent only pays off when there is sharing to
-        // group: a batch-of-one (every per-query entry point) takes the
-        // plain best-first stream instead — same candidate set (property
-        // -tested), sorted to match the grouped path's deterministic
-        // order, without the grouped walker's per-node bookkeeping
-        let candidate_sets: Vec<Vec<ObjectId>> = if requests.len() <= 1 {
-            requests
-                .iter()
-                .map(|(q, k)| {
-                    let mut set = self.knn_candidates(q, *k);
-                    set.sort_unstable();
-                    set
-                })
-                .collect()
-        } else {
-            self.knn_candidates_batch(&requests)
-        };
-        let mut candidate_sets = candidate_sets.into_iter();
         let mut tasks: Vec<QueryTask<'a>> = views
             .iter()
-            .map(|&query| QueryTask {
-                query,
-                candidates: match query {
-                    QueryView::Rknn { .. } => Vec::new(),
-                    _ => candidate_sets
-                        .next()
-                        .expect("one candidate set per request"),
-                },
-                out: Vec::new(),
+            .map(|&query| {
+                let request = match query {
+                    QueryView::Knn { q, k, .. } => Some((q, k)),
+                    QueryView::TopM { q, .. } => Some((q, 1)),
+                    QueryView::Rknn { .. } => None,
+                };
+                // candidate order does not affect results; sorting keeps
+                // the pipeline's input deterministic
+                let candidates = request.map_or_else(Vec::new, |(q, k)| {
+                    let mut set = self.knn_candidates(q.mbr(), k);
+                    set.sort_unstable();
+                    set
+                });
+                QueryTask {
+                    query,
+                    candidates,
+                    out: Vec::new(),
+                }
             })
             .collect();
         let lanes = self.cfg().batch_threads;
@@ -392,7 +368,8 @@ impl<'a> ShardRef<'a> {
         let db = self.dbs[s];
         let mut entries: Vec<(f64, ObjectId)> = Vec::new();
         let mut local_kth = f64::INFINITY;
-        let mut k_smallest: Vec<f64> = Vec::with_capacity(k + 1);
+        // capacity hint only: `k` may exceed the live count by far
+        let mut k_smallest: Vec<f64> = Vec::with_capacity(k.min(db.len()).saturating_add(1));
         for n in self.trees[s].knn_iter(q, norm) {
             if n.dist > local_kth {
                 break;
@@ -426,7 +403,9 @@ impl<'a> ShardRef<'a> {
         let mut streams: Vec<_> = streams.into_iter().map(Iterator::peekable).collect();
         let mut seen: Vec<(ObjectId, f64)> = Vec::new(); // (gid, min_dist)
         let mut kth_max = f64::INFINITY;
-        let mut k_smallest: Vec<f64> = Vec::with_capacity(k + 1);
+        let live: usize = self.dbs.iter().map(|db| db.len()).sum();
+        // capacity hint only: `k` may exceed the live count by far
+        let mut k_smallest: Vec<f64> = Vec::with_capacity(k.min(live).saturating_add(1));
         loop {
             let mut best: Option<(usize, f64)> = None;
             for (s, stream) in streams.iter_mut().enumerate() {
@@ -574,21 +553,10 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
     /// never tighter than the global one — and the calling thread
     /// replays the identical merge over the vectors. Same consumption
     /// sequence, same `tighten_dk` call order, same candidate set.
-    ///
-    /// Materialization only pays for its buffers when shards are large
-    /// enough to keep a lane busy: when every shard holds fewer than
-    /// [`IdcaConfig::shard_materialize_min`] objects the lazy merged
-    /// path runs even under `shard_threads` fan-out (both paths produce
-    /// the identical candidate set, so the threshold is purely a cost
-    /// knob).
     fn knn_candidates(&self, q: &Rect, k: usize) -> Vec<ObjectId> {
         assert!(k >= 1);
         let lanes = self.shard_lanes();
-        let worth_materializing = self
-            .dbs
-            .iter()
-            .any(|db| db.len() >= self.cfg.shard_materialize_min);
-        if lanes <= 1 || !worth_materializing {
+        if lanes <= 1 {
             let norm = self.cfg.norm;
             let streams: Vec<_> = self
                 .trees
@@ -607,21 +575,6 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
             .map(|(_, entries)| entries.into_iter())
             .collect();
         self.merge_shard_streams(q, k, streams)
-    }
-
-    /// Per-request merged streams (no cross-shard grouped descent yet
-    /// — grouped and per-query candidate sets are equal by the property
-    /// the single engine tests, so this is a cost choice, not a
-    /// semantic one), sorted by id like the grouped path.
-    fn knn_candidates_batch(&self, queries: &[(Rect, usize)]) -> Vec<Vec<ObjectId>> {
-        queries
-            .iter()
-            .map(|(q, k)| {
-                let mut set = self.knn_candidates(q, *k);
-                set.sort_unstable();
-                set
-            })
-            .collect()
     }
 
     /// Ascending *global* id order — which is ascending arrival order,

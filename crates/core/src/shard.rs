@@ -113,7 +113,7 @@ pub struct ShardedEngine {
     decomps: Arc<DecompCache>,
     /// Router-level refiner/filter scratch pool.
     scratch: Arc<ScratchPool>,
-    /// Router-level two-tier refinement counters. Stays at zero while
+    /// Router-level refinement round counter. Stays at zero while
     /// queries delegate to a single shard — the 1-shard plain-path
     /// assertion the equivalence suite checks.
     stats: Arc<RefineStats>,
@@ -304,7 +304,7 @@ impl ShardedEngine {
         self.shards.iter().map(Engine::recovery_report).collect()
     }
 
-    /// The *router-level* two-tier refinement counters: advanced only
+    /// The *router-level* refinement round counter: advanced only
     /// by cross-shard query plans. A one-shard engine delegates to the
     /// shard's own pipeline, so these stay at zero — the plain-path
     /// assertion.
@@ -607,19 +607,6 @@ impl ShardedEngine {
         let dbs: Vec<&Database> = self.shards.iter().map(Engine::db).collect();
         let trees: Vec<&RTree<ObjectId>> = self.shards.iter().map(Engine::tree).collect();
         self.plane(&dbs, &trees).knn_candidates(q, k)
-    }
-
-    /// Per-request candidate sets (sorted global ids) for many spatial
-    /// kNN requests at once — the sharded equivalent of
-    /// [`Engine::knn_candidates_batch`], guaranteed to return exactly
-    /// the per-request [`ShardedEngine::knn_candidates`] sets.
-    pub fn knn_candidates_batch(&self, requests: &[(Rect, usize)]) -> Vec<Vec<ObjectId>> {
-        if self.shards.len() == 1 {
-            return self.shards[0].knn_candidates_batch(requests);
-        }
-        let dbs: Vec<&Database> = self.shards.iter().map(Engine::db).collect();
-        let trees: Vec<&RTree<ObjectId>> = self.shards.iter().map(Engine::tree).collect();
-        self.plane(&dbs, &trees).knn_candidates_batch(requests)
     }
 
     /// Probabilistic threshold kNN over the union of all shards,

@@ -435,7 +435,8 @@ fn knn_guard<'a, P: QueryPlane<'a>>(
     norm: udb_geometry::LpNorm,
 ) -> KnnGuard {
     let mut cands = Vec::with_capacity(cand_ids.len());
-    let mut k_smallest: Vec<f64> = Vec::with_capacity(k + 1);
+    // capacity hint only: `k` may exceed the candidate count by far
+    let mut k_smallest: Vec<f64> = Vec::with_capacity(k.min(cand_ids.len()).saturating_add(1));
     let mut d_k = f64::INFINITY;
     let mut rho = f64::NEG_INFINITY;
     for &id in cand_ids {

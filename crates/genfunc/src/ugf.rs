@@ -133,7 +133,8 @@ impl Ugf {
     #[inline]
     fn geometry(&self, conv: usize) -> (usize, usize) {
         match self.truncate_at {
-            Some(k) => (conv.min(k) + 1, (conv + 1).min(k + 2)),
+            // saturating: a count predicate may carry any `k` up to usize::MAX
+            Some(k) => (conv.min(k) + 1, (conv + 1).min(k.saturating_add(2))),
             None => (conv + 1, conv + 1),
         }
     }

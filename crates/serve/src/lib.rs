@@ -35,8 +35,9 @@
 //! Subscriptions die with their connection: `QUIT` or a dropped socket
 //! unregisters every subscription the connection owned.
 //!
-//! Anything unparsable replies `ERR <reason>` without touching the
-//! engine. Floats print with Rust's shortest-round-trip `Display`, so
+//! Anything unparsable — or carrying an object whose dimensionality
+//! differs from the store's — replies `ERR <reason>` without touching
+//! the engine. Floats print with Rust's shortest-round-trip `Display`, so
 //! two engines returning bit-identical results produce byte-identical
 //! reply streams — the serve-smoke CI job diffs a sharded server's
 //! output against the one-shard oracle's, byte for byte (standing
@@ -49,7 +50,7 @@
 //! (and `FLUSH`/`STATS`/`QUIT`) apply immediately, and each maximal run
 //! of consecutive query lines between them executes as one
 //! [`QueryBatch`] (capped at the server's `batch_cap`), sharing
-//! candidate descent, decompositions and worker-pool fan-out across the
+//! decompositions, refiner scratch and worker-pool fan-out across the
 //! run. Batched execution is bit-identical to one-at-a-time execution
 //! (the batch-equivalence suite), so batching never changes replies —
 //! only throughput.
@@ -131,6 +132,18 @@ impl Op {
     pub fn is_query(&self) -> bool {
         matches!(self, Op::Knn { .. } | Op::Rknn { .. } | Op::TopM { .. })
     }
+
+    /// The object this operation carries (payload, probe or query
+    /// object), if any.
+    fn object(&self) -> Option<&UncertainObject> {
+        match self {
+            Op::Insert(o) | Op::DeleteNearest(o) | Op::Update(_, o) => Some(o),
+            Op::Knn { q, .. } | Op::Rknn { q, .. } | Op::TopM { q, .. } | Op::Sub { q, .. } => {
+                Some(q)
+            }
+            Op::Delete(_) | Op::Unsub(_) | Op::Flush | Op::Stats | Op::Quit => None,
+        }
+    }
 }
 
 fn parse_object(s: &str) -> Result<UncertainObject, String> {
@@ -142,6 +155,39 @@ fn parse_id(s: &str) -> Result<ObjectId, String> {
         .parse::<u32>()
         .map(ObjectId)
         .map_err(|_| format!("bad object id {:?}", s.trim()))
+}
+
+/// Parses the `<k> <tau> <json>` tail of a kNN-style request; `what`
+/// names the request (`KNN`, `SUB RKNN`, ...) in error texts.
+fn parse_k_tau_object(what: &str, rest: &str) -> Result<(usize, f64, UncertainObject), String> {
+    let mut parts = rest.trim_start().splitn(3, ' ');
+    let k: usize = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .filter(|&k| k >= 1)
+        .ok_or_else(|| format!("{what} needs a positive <k>"))?;
+    let tau: f64 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .filter(|t| (0.0..1.0).contains(t))
+        .ok_or_else(|| format!("{what} needs <tau> in [0, 1)"))?;
+    let q = parse_object(parts.next().ok_or_else(|| format!("{what} needs <json>"))?)?;
+    Ok((k, tau, q))
+}
+
+/// Parses the `<m> <json>` tail of a top-`m` request; `what` names the
+/// request (`TOPM` or `SUB TOPM`) in error texts.
+fn parse_m_object(what: &str, rest: &str) -> Result<(usize, UncertainObject), String> {
+    let (m, json) = rest
+        .trim_start()
+        .split_once(' ')
+        .ok_or_else(|| format!("{what} needs <m> <json>"))?;
+    let m: usize = m
+        .parse()
+        .ok()
+        .filter(|&m| m >= 1)
+        .ok_or_else(|| format!("{what} needs a positive <m>"))?;
+    Ok((m, parse_object(json)?))
 }
 
 /// Parses one protocol line: `Ok(None)` for blanks and `#` comments,
@@ -167,87 +213,39 @@ pub fn parse_line(line: &str) -> Result<Option<Op>, String> {
                 .ok_or("UPDATE needs <gid> <json>")?;
             Op::Update(parse_id(id)?, parse_object(json)?)
         }
-        "KNN" | "RKNN" => {
-            let mut parts = rest.trim_start().splitn(3, ' ');
-            let k: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .filter(|&k| k >= 1)
-                .ok_or_else(|| format!("{verb} needs a positive <k>"))?;
-            let tau: f64 = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .filter(|t| (0.0..1.0).contains(t))
-                .ok_or_else(|| format!("{verb} needs <tau> in [0, 1)"))?;
-            let q = parse_object(parts.next().ok_or_else(|| format!("{verb} needs <json>"))?)?;
-            if verb == "KNN" {
-                Op::Knn { q, k, tau }
-            } else {
-                Op::Rknn { q, k, tau }
-            }
+        "KNN" => {
+            let (k, tau, q) = parse_k_tau_object(verb, rest)?;
+            Op::Knn { q, k, tau }
+        }
+        "RKNN" => {
+            let (k, tau, q) = parse_k_tau_object(verb, rest)?;
+            Op::Rknn { q, k, tau }
         }
         "TOPM" => {
-            let (m, json) = rest
-                .trim_start()
-                .split_once(' ')
-                .ok_or("TOPM needs <m> <json>")?;
-            let m: usize = m
-                .parse()
-                .ok()
-                .filter(|&m| m >= 1)
-                .ok_or("TOPM needs a positive <m>")?;
-            Op::TopM {
-                q: parse_object(json)?,
-                m,
-            }
+            let (m, q) = parse_m_object(verb, rest)?;
+            Op::TopM { q, m }
         }
         "SUB" => {
             let (what, rest) = rest
                 .trim_start()
                 .split_once(' ')
                 .ok_or("SUB needs KNN|RKNN|TOPM ...")?;
-            match what {
-                "KNN" | "RKNN" => {
-                    let mut parts = rest.trim_start().splitn(3, ' ');
-                    let k: usize = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&k| k >= 1)
-                        .ok_or_else(|| format!("SUB {what} needs a positive <k>"))?;
-                    let tau: f64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|t| (0.0..1.0).contains(t))
-                        .ok_or_else(|| format!("SUB {what} needs <tau> in [0, 1)"))?;
-                    let q = parse_object(
-                        parts
-                            .next()
-                            .ok_or_else(|| format!("SUB {what} needs <json>"))?,
-                    )?;
-                    let spec = if what == "KNN" {
-                        StandingSpec::Knn { k, tau }
-                    } else {
-                        StandingSpec::Rknn { k, tau }
-                    };
-                    Op::Sub { q, spec }
+            let (q, spec) = match what {
+                "KNN" => {
+                    let (k, tau, q) = parse_k_tau_object("SUB KNN", rest)?;
+                    (q, StandingSpec::Knn { k, tau })
+                }
+                "RKNN" => {
+                    let (k, tau, q) = parse_k_tau_object("SUB RKNN", rest)?;
+                    (q, StandingSpec::Rknn { k, tau })
                 }
                 "TOPM" => {
-                    let (m, json) = rest
-                        .trim_start()
-                        .split_once(' ')
-                        .ok_or("SUB TOPM needs <m> <json>")?;
-                    let m: usize = m
-                        .parse()
-                        .ok()
-                        .filter(|&m| m >= 1)
-                        .ok_or("SUB TOPM needs a positive <m>")?;
-                    Op::Sub {
-                        q: parse_object(json)?,
-                        spec: StandingSpec::TopM { m },
-                    }
+                    let (m, q) = parse_m_object("SUB TOPM", rest)?;
+                    (q, StandingSpec::TopM { m })
                 }
                 other => return Err(format!("SUB needs KNN|RKNN|TOPM, got {other:?}")),
-            }
+            };
+            Op::Sub { q, spec }
         }
         "UNSUB" => Op::Unsub(
             rest.trim()
@@ -380,7 +378,7 @@ impl Server {
                     continue;
                 }
             };
-            match parse_line(line) {
+            match parse_line(line).and_then(|op| self.check_dims(op)) {
                 Ok(None) => {}
                 Err(e) => replies.push((*conn, format!("ERR {e}"))),
                 Ok(Some(op)) if op.is_query() => {
@@ -415,6 +413,22 @@ impl Server {
         }
         self.flush_queries(&mut replies, &mut pending);
         (replies, quits)
+    }
+
+    /// Rejects an operation whose object's dimensionality differs from
+    /// the store's (an empty store accepts any): the engine asserts
+    /// matching dimensions, so such an object must never reach it.
+    fn check_dims(&self, op: Option<Op>) -> Result<Option<Op>, String> {
+        let store = self.engine.shards().iter().find_map(|s| s.db().dims());
+        if let (Some(obj), Some(dims)) = (op.as_ref().and_then(Op::object), store) {
+            if obj.dims() != dims {
+                return Err(format!(
+                    "object has {} dimensions, the store holds {dims}",
+                    obj.dims()
+                ));
+            }
+        }
+        Ok(op)
     }
 
     /// Sweeps every subscription a closed connection owned (the fronts
