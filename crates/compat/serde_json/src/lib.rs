@@ -298,12 +298,22 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
+                b if b.is_ascii() => out.push(char::from(b)),
                 _ => {
-                    // re-decode UTF-8 starting at the byte we consumed
+                    // a multi-byte char starts at the byte we consumed:
+                    // decode it from a window of at most 4 bytes, never
+                    // the whole rest of the input
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
+                    let window = &self.bytes[start..self.bytes.len().min(start + 4)];
+                    let valid = match std::str::from_utf8(window) {
+                        Ok(s) => s,
+                        Err(e) => std::str::from_utf8(&window[..e.valid_up_to()])
+                            .expect("a valid UTF-8 prefix"),
+                    };
+                    let c = valid
+                        .chars()
+                        .next()
+                        .ok_or_else(|| Error::msg("invalid UTF-8 in string"))?;
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -445,6 +455,23 @@ mod tests {
     fn rejects_trailing_garbage_and_nan() {
         assert!(from_str::<f64>("1.0 x").is_err());
         assert!(to_string(&f64::NAN).is_err());
+    }
+
+    #[test]
+    fn strings_decode_escapes_and_multibyte_utf8() {
+        let json = r#"["a\"b\\c\/d\b\f\n\r\t", "\u00e9\u4e2d\u0041", "é中😀x", "ü\n€"]"#;
+        let got: Vec<String> = from_str(json).unwrap();
+        assert_eq!(
+            got,
+            ["a\"b\\c/d\u{8}\u{c}\n\r\t", "é中A", "é中😀x", "ü\n€",]
+        );
+        // a 4-byte char whose window runs to the end of the input
+        assert_eq!(from_str::<String>("\"😀\"").unwrap(), "😀");
+        for s in ["plain", "é中😀", "quote\" and \\ slash", "\u{1}ctl"] {
+            assert_eq!(from_str::<String>(&to_string(s).unwrap()).unwrap(), s);
+        }
+        assert!(from_str::<String>("\"abc").is_err());
+        assert!(from_str::<String>("\"\\u12\"").is_err());
     }
 
     #[test]

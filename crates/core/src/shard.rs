@@ -288,6 +288,24 @@ impl ShardedEngine {
         self.len() == 0
     }
 
+    /// The dimensionality of the store's live objects, `None` while no
+    /// shard holds one. A shard emptied by removals does not reset it:
+    /// inserts and updates must match it whichever shard they land on.
+    pub fn dims(&self) -> Option<usize> {
+        self.shards.iter().find_map(|s| s.db().dims())
+    }
+
+    /// Asserts that `object` matches the store's dimensionality.
+    fn assert_dims(&self, object: &UncertainObject) {
+        if let Some(d) = self.dims() {
+            assert_eq!(
+                d,
+                object.dims(),
+                "object dimensionality must match the database"
+            );
+        }
+    }
+
     /// Mutations applied across all shards over their lifetimes.
     pub fn mutations(&self) -> u64 {
         self.shards.iter().map(Engine::mutations).sum()
@@ -372,7 +390,12 @@ impl ShardedEngine {
     ///
     /// # Errors
     /// Fails when the target shard cannot log the record.
+    ///
+    /// # Panics
+    /// Panics when the object's dimensionality differs from
+    /// [`ShardedEngine::dims`].
     pub fn try_insert(&mut self, object: UncertainObject) -> Result<ObjectId, DurableError> {
+        self.assert_dims(&object);
         let (s, gid) = self.insert_slot();
         let local = self.shards[s].try_insert(object)?;
         debug_assert_eq!(self.global_id(s, local), ObjectId(gid));
@@ -446,6 +469,7 @@ impl ShardedEngine {
         id: ObjectId,
         object: UncertainObject,
     ) -> Result<UncertainObject, DurableError> {
+        self.assert_dims(&object);
         let shard = self.shard_of(id);
         let local = self.local_id(id);
         let old = self.shards[shard].try_update(local, object)?;
@@ -782,6 +806,21 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality must match")]
+    fn insert_into_an_emptied_shard_checks_the_store_dims() {
+        let mut engine = ShardedEngine::new(Database::from_objects(Vec::new()), 2);
+        assert_eq!(engine.dims(), None);
+        let first = engine.insert(UncertainObject::certain(Point::from([0.0, 0.0])));
+        engine.insert(UncertainObject::certain(Point::from([1.0, 0.0])));
+        // the first object's shard is empty now, and it takes the next
+        // insert; the other shard still holds a 2-d object
+        engine.remove(first);
+        assert!(engine.shards().iter().any(|s| s.db().is_empty()));
+        assert_eq!(engine.dims(), Some(2));
+        engine.insert(UncertainObject::certain(Point::from([0.0, 0.0, 0.0])));
     }
 
     #[test]

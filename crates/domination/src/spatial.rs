@@ -1,6 +1,8 @@
 //! Complete (spatial) domination on rectangular uncertainty regions.
 
-use udb_geometry::{LpNorm, Rect};
+use std::ops::Range;
+
+use udb_geometry::{Interval, LpNorm, Rect};
 
 /// Which decision criterion detects complete domination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,153 +87,349 @@ const ROBUST_MARGIN: f64 = 1e-9;
 /// rectangle remains. This is the hot-loop classifier of the IDCA
 /// refinement cache, where one partition pair is tested against every
 /// open partition of every influence object.
+///
+/// Under the Optimal criterion the per-dimension terms live inline for
+/// up to 4 dimensions (building such a pair allocates nothing), and
+/// [`PairClassifier::classify_each`] resolves the norm and the
+/// dimensionality once per stream of boxes: each box then runs one
+/// branch-free kernel monomorphized for the norm's power, with its loop
+/// unrolled for 2 dimensions.
 #[derive(Debug, Clone)]
-pub struct PairClassifier {
-    criterion: DominationCriterion,
+pub struct PairClassifier(PairKind);
+
+#[derive(Debug, Clone)]
+enum PairKind {
+    Optimal(OptimalPair),
+    MinMax(MinMaxPair),
+}
+
+/// A MinMax pair: the reference region (the `A`-dependent terms need the
+/// whole box) with `pow(MinDist(B, R))` and `pow(MaxDist(B, R))`.
+#[derive(Debug, Clone)]
+struct MinMaxPair {
     norm: LpNorm,
-    /// The reference region (the `A`-dependent terms still need its
-    /// endpoints).
     r: Rect,
-    /// Optimal criterion, per dimension: `pow(MinDist(B_i, r))` and
-    /// `pow(MaxDist(B_i, r))` at the two `R_i` endpoints, in the order
-    /// `[min@lo, min@hi, max@lo, max@hi]`.
-    b_terms: Vec<[f64; 4]>,
-    /// MinMax criterion: `pow(MinDist(B, R))` and `pow(MaxDist(B, R))`.
-    minmax_b: (f64, f64),
+    min_br: f64,
+    max_br: f64,
+}
+
+/// Dimensionalities up to this many keep their pair terms inline; higher
+/// ones keep them on the heap.
+const INLINE_DIMS: usize = 4;
+
+/// One dimension of an Optimal pair: the two `R_i` endpoints and the
+/// `B_i` terms at them, `pow(MinDist(B_i, r))` and `pow(MaxDist(B_i, r))`
+/// in the order `[min@lo, min@hi, max@lo, max@hi]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct DimTerms {
+    r_lo: f64,
+    r_hi: f64,
+    b: [f64; 4],
+}
+
+#[derive(Debug, Clone)]
+struct OptimalPair {
+    /// A finite-`p` norm.
+    norm: LpNorm,
+    /// The exponent of [`LpNorm::P`] (unused by the L1/L2 kernels).
+    p: i32,
+    dims: usize,
+    /// The terms of a pair of up to [`INLINE_DIMS`] dimensions.
+    inline: [DimTerms; INLINE_DIMS],
+    /// The terms of a higher-dimensional pair (empty otherwise).
+    heap: Vec<DimTerms>,
+}
+
+impl OptimalPair {
+    fn new(b: &Rect, r: &Rect, norm: LpNorm) -> Self {
+        let p = match norm {
+            LpNorm::L1 => 1,
+            LpNorm::L2 => 2,
+            LpNorm::P(p) => p as i32,
+            LpNorm::LInf => panic!("the optimal domination criterion requires a finite Lp norm"),
+        };
+        debug_assert_eq!(b.dims(), r.dims());
+        let dims = r.dims();
+        let terms = |i: usize| {
+            let (bi, ri) = (b.dim(i), r.dim(i));
+            DimTerms {
+                r_lo: ri.lo(),
+                r_hi: ri.hi(),
+                b: [
+                    norm.pow(bi.min_dist(ri.lo())),
+                    norm.pow(bi.min_dist(ri.hi())),
+                    norm.pow(bi.max_dist(ri.lo())),
+                    norm.pow(bi.max_dist(ri.hi())),
+                ],
+            }
+        };
+        let mut inline = [DimTerms::default(); INLINE_DIMS];
+        let mut heap = Vec::new();
+        if dims <= INLINE_DIMS {
+            for (i, t) in inline.iter_mut().enumerate().take(dims) {
+                *t = terms(i);
+            }
+        } else {
+            heap = (0..dims).map(terms).collect();
+        }
+        OptimalPair {
+            norm,
+            p,
+            dims,
+            inline,
+            heap,
+        }
+    }
+
+    fn terms(&self) -> &[DimTerms] {
+        if self.dims <= INLINE_DIMS {
+            &self.inline[..self.dims]
+        } else {
+            &self.heap
+        }
+    }
+
+    /// Resolves the norm, then the kernel's loop shape, once for the
+    /// stream.
+    fn classify_each(
+        &self,
+        boxes: &[Interval],
+        runs: impl IntoIterator<Item = Range<u32>>,
+        each: impl FnMut(u32, SpatialDecision),
+    ) {
+        match self.norm {
+            LpNorm::L1 => self.each_by_dims::<L1>(boxes, runs, each),
+            LpNorm::L2 => self.each_by_dims::<L2>(boxes, runs, each),
+            LpNorm::P(_) => self.each_by_dims::<Pn>(boxes, runs, each),
+            LpNorm::LInf => unreachable!("rejected by OptimalPair::new"),
+        }
+    }
+
+    #[inline(always)]
+    fn each_by_dims<N: PowNorm>(
+        &self,
+        boxes: &[Interval],
+        runs: impl IntoIterator<Item = Range<u32>>,
+        each: impl FnMut(u32, SpatialDecision),
+    ) {
+        // unrolled for 2-D only, the one dimensionality it was measured on:
+        // there it classifies a box ~2.7x faster than the slice kernel
+        if self.dims == 2 {
+            stream(self, optimal_2d::<N>, boxes, 2, runs, each)
+        } else {
+            stream(self, optimal_slice::<N>, boxes, self.dims, runs, each)
+        }
+    }
+}
+
+/// Runs `kernel` over the boxes of `runs` in the flat buffer `boxes`
+/// (box `i` occupies `i·dims .. (i+1)·dims`).
+#[inline(always)]
+fn stream<P>(
+    pair: &P,
+    kernel: impl Fn(&P, &[Interval]) -> SpatialDecision,
+    boxes: &[Interval],
+    dims: usize,
+    runs: impl IntoIterator<Item = Range<u32>>,
+    mut each: impl FnMut(u32, SpatialDecision),
+) {
+    for run in runs {
+        for i in run {
+            let at = i as usize * dims;
+            each(i, kernel(pair, &boxes[at..at + dims]));
+        }
+    }
+}
+
+/// `|d|^p` of one finite-`p` norm, resolved at compile time; each is
+/// exactly [`LpNorm::pow`] for its norm (`p` is the exponent of
+/// [`LpNorm::P`], ignored by the others).
+trait PowNorm {
+    fn pow(p: i32, d: f64) -> f64;
+}
+
+struct L1;
+struct L2;
+struct Pn;
+
+impl PowNorm for L1 {
+    #[inline(always)]
+    fn pow(_: i32, d: f64) -> f64 {
+        d.abs()
+    }
+}
+
+impl PowNorm for L2 {
+    #[inline(always)]
+    fn pow(_: i32, d: f64) -> f64 {
+        d * d
+    }
+}
+
+impl PowNorm for Pn {
+    #[inline(always)]
+    fn pow(p: i32, d: f64) -> f64 {
+        d.abs().powi(p)
+    }
+}
+
+/// The kernel for a 2-D pair: the loop unrolls over the inline terms.
+#[inline(always)]
+fn optimal_2d<N: PowNorm>(pair: &OptimalPair, a: &[Interval]) -> SpatialDecision {
+    let terms: &[DimTerms; 2] = pair.inline[..2].try_into().expect("2 <= INLINE_DIMS");
+    let a: &[Interval; 2] = a.try_into().expect("a box of the pair's dimensionality");
+    optimal_sums::<N>(terms, pair.p, a)
+}
+
+/// The same kernel over slices of any length.
+#[inline(always)]
+fn optimal_slice<N: PowNorm>(pair: &OptimalPair, a: &[Interval]) -> SpatialDecision {
+    let terms = pair.terms();
+    assert_eq!(a.len(), terms.len(), "a box of the pair's dimensionality");
+    optimal_sums::<N>(terms, pair.p, a)
+}
+
+/// The Optimal decision of `a` against a pair's terms: the same `f64`
+/// operations in the same order as [`classify_optimal`], so every sum
+/// and flag is bit-identical to it. The distance terms are selects
+/// rather than branches; `f64::max` stays where a difference of two
+/// overflowed powers could be NaN.
+#[inline(always)]
+fn optimal_sums<N: PowNorm>(terms: &[DimTerms], p: i32, a: &[Interval]) -> SpatialDecision {
+    let mut dom_sum = 0.0;
+    let mut nd_sum = 0.0;
+    let mut scale = 0.0;
+    for (t, &ai) in terms.iter().zip(a) {
+        let d_lo = N::pow(p, max_dist(ai, t.r_lo)) - t.b[0];
+        let d_hi = N::pow(p, max_dist(ai, t.r_hi)) - t.b[1];
+        let n_lo = t.b[2] - N::pow(p, min_dist(ai, t.r_lo));
+        let n_hi = t.b[3] - N::pow(p, min_dist(ai, t.r_hi));
+        dom_sum += d_lo.max(d_hi);
+        nd_sum += n_lo.max(n_hi);
+        scale += d_lo.abs().max(d_hi.abs()).max(n_lo.abs()).max(n_hi.abs());
+    }
+    let margin = ROBUST_MARGIN * scale.max(f64::MIN_POSITIVE);
+    let dominates = dom_sum < 0.0;
+    let decided = dominates || nd_sum <= 0.0;
+    let decisive = if dominates { dom_sum } else { nd_sum };
+    SpatialDecision {
+        decision: decided.then_some(dominates),
+        robust: decided && decisive < -margin,
+    }
+}
+
+/// `max(a, b)` as a compare-select, for operands that cannot be NaN
+/// (differences of finite coordinates). It can differ from `f64::max`
+/// only in the sign of a zero, which every power maps to `+0`.
+#[inline(always)]
+fn select_max(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// [`Interval::min_dist`] as selects: for `lo ≤ hi` at most one of
+/// `lo − x` and `x − hi` is positive, and the result is `+0` when
+/// neither is.
+#[inline(always)]
+fn min_dist(iv: Interval, x: f64) -> f64 {
+    select_max(select_max(iv.lo() - x, x - iv.hi()), 0.0)
+}
+
+/// [`Interval::max_dist`] as a select: for `lo ≤ hi` the larger of
+/// `|x − lo|` and `|x − hi|` is the larger of `x − lo` and `hi − x`
+/// (rounding is monotone and sign-symmetric, so the values are equal).
+#[inline(always)]
+fn max_dist(iv: Interval, x: f64) -> f64 {
+    select_max(x - iv.lo(), iv.hi() - x)
 }
 
 impl PairClassifier {
     /// Precomputes the `B`/`R` halves for the given pair.
+    ///
+    /// # Panics
+    /// Panics for the Optimal criterion under [`LpNorm::LInf`].
     pub fn new(b: &Rect, r: &Rect, criterion: DominationCriterion, norm: LpNorm) -> Self {
-        let mut b_terms = Vec::new();
-        let mut minmax_b = (0.0, 0.0);
-        match criterion {
-            DominationCriterion::Optimal => {
-                assert!(
-                    !matches!(norm, LpNorm::LInf),
-                    "the optimal domination criterion requires a finite Lp norm"
-                );
-                debug_assert_eq!(b.dims(), r.dims());
-                b_terms.reserve(r.dims());
-                for i in 0..r.dims() {
-                    let (bi, ri) = (b.dim(i), r.dim(i));
-                    b_terms.push([
-                        norm.pow(bi.min_dist(ri.lo())),
-                        norm.pow(bi.min_dist(ri.hi())),
-                        norm.pow(bi.max_dist(ri.lo())),
-                        norm.pow(bi.max_dist(ri.hi())),
-                    ]);
-                }
-            }
+        PairClassifier(match criterion {
+            DominationCriterion::Optimal => PairKind::Optimal(OptimalPair::new(b, r, norm)),
             DominationCriterion::MinMax => {
-                minmax_b = match norm {
+                let (min_br, max_br) = match norm {
                     LpNorm::LInf => (
                         norm.pow(b.min_dist_rect(r, norm)),
                         norm.pow(b.max_dist_rect(r, norm)),
                     ),
                     _ => (min_dist_rect_pow(b, r, norm), max_dist_rect_pow(b, r, norm)),
                 };
+                PairKind::MinMax(MinMaxPair {
+                    norm,
+                    r: r.clone(),
+                    min_br,
+                    max_br,
+                })
             }
-        }
-        PairClassifier {
-            criterion,
-            norm,
-            r: r.clone(),
-            b_terms,
-            minmax_b,
-        }
+        })
     }
 
     /// Classifies `a` against the precomputed pair; equal to
     /// `criterion.classify(a, b, r, norm)` in every field.
+    ///
+    /// # Panics
+    /// Panics when `a` has a different dimensionality than the pair.
     pub fn classify(&self, a: &Rect) -> SpatialDecision {
-        self.classify_dims(a.intervals())
+        let dims = match &self.0 {
+            PairKind::Optimal(pair) => pair.dims,
+            PairKind::MinMax(pair) => pair.r.dims(),
+        };
+        assert_eq!(a.dims(), dims, "a box of the pair's dimensionality");
+        let mut out = None;
+        self.classify_each(a.intervals(), std::iter::once(0..1), |_, d| out = Some(d));
+        out.expect("one box classified")
     }
 
-    /// Like [`PairClassifier::classify`] for a rectangle given as its
-    /// interval slice — hot loops that keep many boxes in one flat
-    /// buffer (the refiner's partition arena) classify without
-    /// materializing a `Rect` per box.
-    pub fn classify_dims(&self, a: &[udb_geometry::Interval]) -> SpatialDecision {
-        match self.criterion {
-            DominationCriterion::Optimal => self.classify_optimal(a),
-            DominationCriterion::MinMax => self.classify_minmax(a),
-        }
-    }
-
-    fn classify_optimal(&self, a: &[udb_geometry::Interval]) -> SpatialDecision {
-        debug_assert_eq!(a.len(), self.r.dims());
-        let norm = self.norm;
-        let mut dom_sum = 0.0;
-        let mut nd_sum = 0.0;
-        let mut scale = 0.0;
-        for (i, bt) in self.b_terms.iter().enumerate() {
-            let (ai, ri) = (a[i], self.r.dim(i));
-            let d_lo = norm.pow(ai.max_dist(ri.lo())) - bt[0];
-            let d_hi = norm.pow(ai.max_dist(ri.hi())) - bt[1];
-            let n_lo = bt[2] - norm.pow(ai.min_dist(ri.lo()));
-            let n_hi = bt[3] - norm.pow(ai.min_dist(ri.hi()));
-            dom_sum += d_lo.max(d_hi);
-            nd_sum += n_lo.max(n_hi);
-            scale += d_lo.abs().max(d_hi.abs()).max(n_lo.abs()).max(n_hi.abs());
-        }
-        let margin = ROBUST_MARGIN * scale.max(f64::MIN_POSITIVE);
-        if dom_sum < 0.0 {
-            SpatialDecision {
-                decision: Some(true),
-                robust: dom_sum < -margin,
-            }
-        } else if nd_sum <= 0.0 {
-            SpatialDecision {
-                decision: Some(false),
-                robust: nd_sum < -margin,
-            }
-        } else {
-            SpatialDecision {
-                decision: None,
-                robust: false,
+    /// Classifies the boxes of the flat interval buffer `boxes` — box `i`
+    /// occupies `i·dims .. (i+1)·dims`, `dims` being the pair's
+    /// dimensionality — whose indices `runs` lists as runs of
+    /// consecutive indices, handing `each` the index and the decision,
+    /// equal to [`PairClassifier::classify`] of that box. Hot loops that
+    /// keep many boxes in one flat buffer (the refiner's partition
+    /// arena) classify without materializing a `Rect` per box, and the
+    /// kernel is chosen once for the whole stream.
+    ///
+    /// # Panics
+    /// Panics when a box lies outside `boxes`.
+    pub fn classify_each(
+        &self,
+        boxes: &[Interval],
+        runs: impl IntoIterator<Item = Range<u32>>,
+        each: impl FnMut(u32, SpatialDecision),
+    ) {
+        match &self.0 {
+            PairKind::Optimal(pair) => pair.classify_each(boxes, runs, each),
+            PairKind::MinMax(pair) => {
+                stream(pair, MinMaxPair::classify, boxes, pair.r.dims(), runs, each)
             }
         }
     }
+}
 
-    fn classify_minmax(&self, a: &[udb_geometry::Interval]) -> SpatialDecision {
-        let norm = self.norm;
-        let (min_br, max_br) = self.minmax_b;
+impl MinMaxPair {
+    fn classify(&self, a: &[Interval]) -> SpatialDecision {
+        let (norm, r) = (self.norm, &self.r);
         let (max_ar, min_ar) = match norm {
             LpNorm::LInf => {
                 // cold path: LInf has no powered-sum decomposition; go
                 // through the rectangle API for exact agreement
                 let a = Rect::new(a.to_vec());
                 (
-                    norm.pow(a.max_dist_rect(&self.r, norm)),
-                    norm.pow(a.min_dist_rect(&self.r, norm)),
+                    norm.pow(a.max_dist_rect(r, norm)),
+                    norm.pow(a.min_dist_rect(r, norm)),
                 )
             }
-            _ => (
-                max_dist_dims_pow(a, &self.r, norm),
-                min_dist_dims_pow(a, &self.r, norm),
-            ),
+            _ => (max_dist_dims_pow(a, r, norm), min_dist_dims_pow(a, r, norm)),
         };
-        let dominates = max_ar < min_br;
-        let never = !dominates && max_br <= min_ar;
-        if dominates {
-            let margin = ROBUST_MARGIN * max_ar.abs().max(min_br.abs()).max(f64::MIN_POSITIVE);
-            SpatialDecision {
-                decision: Some(true),
-                robust: min_br - max_ar > margin,
-            }
-        } else if never {
-            let margin = ROBUST_MARGIN * max_br.abs().max(min_ar.abs()).max(f64::MIN_POSITIVE);
-            SpatialDecision {
-                decision: Some(false),
-                robust: min_ar - max_br > margin,
-            }
-        } else {
-            SpatialDecision {
-                decision: None,
-                robust: false,
-            }
-        }
+        minmax_decision(max_ar, self.min_br, self.max_br, min_ar)
     }
 }
 
@@ -291,6 +489,12 @@ fn classify_minmax(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> SpatialDecisio
             min_dist_rect_pow(a, r, norm),
         ),
     };
+    minmax_decision(max_ar, min_br, max_br, min_ar)
+}
+
+/// The MinMax decision from the four powered whole-box distances: the
+/// comparisons of `dominates_minmax` / `never_dominates_minmax`.
+fn minmax_decision(max_ar: f64, min_br: f64, max_br: f64, min_ar: f64) -> SpatialDecision {
     let dominates = max_ar < min_br;
     let never = !dominates && max_br <= min_ar;
     if dominates {
@@ -409,7 +613,7 @@ fn min_dist_rect_pow(x: &Rect, r: &Rect, norm: LpNorm) -> f64 {
     min_dist_dims_pow(x.intervals(), r, norm)
 }
 
-fn min_dist_dims_pow(x: &[udb_geometry::Interval], r: &Rect, norm: LpNorm) -> f64 {
+fn min_dist_dims_pow(x: &[Interval], r: &Rect, norm: LpNorm) -> f64 {
     norm.aggregate((0..x.len()).map(|i| {
         let (xi, ri) = (x[i], r.dim(i));
         let gap = if xi.hi() < ri.lo() {
@@ -428,7 +632,7 @@ fn max_dist_rect_pow(x: &Rect, r: &Rect, norm: LpNorm) -> f64 {
     max_dist_dims_pow(x.intervals(), r, norm)
 }
 
-fn max_dist_dims_pow(x: &[udb_geometry::Interval], r: &Rect, norm: LpNorm) -> f64 {
+fn max_dist_dims_pow(x: &[Interval], r: &Rect, norm: LpNorm) -> f64 {
     norm.aggregate((0..x.len()).map(|i| {
         let (xi, ri) = (x[i], r.dim(i));
         let d = (xi.hi() - ri.lo()).abs().max((ri.hi() - xi.lo()).abs());
@@ -572,6 +776,97 @@ mod tests {
             .prop_map(|(x, w, y, h)| rect(x, x + w, y, y + h))
     }
 
+    /// A box on a grid of half units: `(lo, width, nudge)` per
+    /// dimension, width 0 being a point interval and `nudge` shifting the
+    /// interval by whole multiples of 1e-12, which turns exact ties into
+    /// sums inside the robustness margin.
+    fn grid_box(cells: &[(i32, i32, i32)]) -> Rect {
+        Rect::new(
+            cells
+                .iter()
+                .map(|&(lo, w, nudge)| {
+                    let shift = f64::from(nudge) * 1e-12;
+                    Interval::new(f64::from(lo) * 0.5 + shift, f64::from(lo + w) * 0.5 + shift)
+                })
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// The slice kernel of an Optimal pair, whatever its dimensionality.
+    fn slice_kernel(pc: &PairClassifier, a: &Rect) -> SpatialDecision {
+        let PairKind::Optimal(pair) = &pc.0 else {
+            panic!("an Optimal pair")
+        };
+        match pair.norm {
+            LpNorm::L1 => optimal_slice::<L1>(pair, a.intervals()),
+            LpNorm::L2 => optimal_slice::<L2>(pair, a.intervals()),
+            LpNorm::P(_) => optimal_slice::<Pn>(pair, a.intervals()),
+            LpNorm::LInf => unreachable!(),
+        }
+    }
+
+    /// Asserts `PairClassifier` equals the per-call `classify` for both
+    /// criteria under L1/L2/P(3) (and MinMax under LInf), for one box
+    /// alone and streamed from a flat buffer, and that the Optimal slice
+    /// kernel agrees too (for 2-D boxes, with the unrolled kernel).
+    fn check_pair_classifier(a: &Rect, b: &Rect, r: &Rect) {
+        let mut cases = vec![(DominationCriterion::MinMax, LpNorm::LInf)];
+        for criterion in [DominationCriterion::Optimal, DominationCriterion::MinMax] {
+            for norm in [LpNorm::L1, LpNorm::L2, LpNorm::P(3)] {
+                cases.push((criterion, norm));
+            }
+        }
+        // `a` twice in one flat buffer, streamed as box 1
+        let flat: Vec<Interval> = a.intervals().iter().chain(a.intervals()).copied().collect();
+        for (criterion, norm) in cases {
+            let expected = criterion.classify(a, b, r, norm);
+            let pc = PairClassifier::new(b, r, criterion, norm);
+            assert_eq!(pc.classify(a), expected, "{criterion:?} {norm:?}");
+            let mut streamed = Vec::new();
+            pc.classify_each(&flat, std::iter::once(1..2), |i, d| streamed.push((i, d)));
+            assert_eq!(streamed, [(1, expected)], "{criterion:?} {norm:?}");
+            if criterion == DominationCriterion::Optimal {
+                assert_eq!(slice_kernel(&pc, a), expected, "{norm:?} slice path");
+            }
+        }
+    }
+
+    /// The grid boxes of `prop_pair_classifier_matches_classify` do reach
+    /// the knife edge: decided but non-robust outcomes of both kinds
+    /// occur, so that property's agreement covers them.
+    #[test]
+    fn pair_classifier_grid_covers_knife_edges() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        // (dominating, never dominating) decisions inside the margin
+        let mut knife_edges = (0, 0);
+        for _ in 0..2000 {
+            let dims = rng.gen_range(1..=5usize);
+            let mut grid = || {
+                let cells: Vec<(i32, i32, i32)> = (0..dims)
+                    .map(|_| {
+                        (
+                            rng.gen_range(-4..4),
+                            rng.gen_range(0..3),
+                            rng.gen_range(-1..2),
+                        )
+                    })
+                    .collect();
+                grid_box(&cells)
+            };
+            let (a, b, r) = (grid(), grid(), grid());
+            let d = DominationCriterion::Optimal.classify(&a, &b, &r, LpNorm::L2);
+            match (d.decision, d.robust) {
+                (Some(true), false) => knife_edges.0 += 1,
+                (Some(false), false) => knife_edges.1 += 1,
+                _ => {}
+            }
+        }
+        assert!(
+            knife_edges.0 > 0 && knife_edges.1 > 0,
+            "knife edges among 2000 grid triples: {knife_edges:?}"
+        );
+    }
+
     proptest! {
         /// Soundness: whenever the optimal criterion claims domination,
         /// sampled instantiations must agree.
@@ -616,26 +911,21 @@ mod tests {
         }
 
         /// The precomputed pair classifier is bit-identical to the
-        /// per-call classification for both criteria.
+        /// per-call classification for both criteria and every norm, in
+        /// 1–5 dimensions, on grid boxes whose point intervals, shared
+        /// endpoints and tied sums put the robust flag on a knife edge.
         #[test]
         fn prop_pair_classifier_matches_classify(
             a in arb_rect(-5.0..5.0),
             b in arb_rect(-5.0..5.0),
             r in arb_rect(-5.0..5.0),
+            dims in 1usize..6,
+            cells in proptest::collection::vec((-4i32..4, 0i32..3, -1i32..2), 15),
         ) {
-            for criterion in [DominationCriterion::Optimal, DominationCriterion::MinMax] {
-                for norm in [LpNorm::L1, LpNorm::L2, LpNorm::P(3)] {
-                    let pc = PairClassifier::new(&b, &r, criterion, norm);
-                    prop_assert_eq!(pc.classify(&a), criterion.classify(&a, &b, &r, norm));
-                }
-            }
-            let pc = PairClassifier::new(&b, &r, DominationCriterion::MinMax, LpNorm::LInf);
-            prop_assert_eq!(
-                pc.classify(&a),
-                DominationCriterion::MinMax.classify(&a, &b, &r, LpNorm::LInf)
-            );
+            check_pair_classifier(&a, &b, &r);
+            let grid = |k: usize| grid_box(&cells[k * 5..k * 5 + dims]);
+            check_pair_classifier(&grid(0), &grid(1), &grid(2));
         }
-
         /// For certain points the criterion is exactly the distance
         /// comparison.
         #[test]

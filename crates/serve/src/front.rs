@@ -235,6 +235,10 @@ pub fn serve_listener(
         let mut next_id = 0u64;
         for conn in listener.incoming() {
             let Ok(conn) = conn else { break };
+            // replies are flushed once per pump cycle: send each flush at
+            // once instead of holding it for the peer's delayed ACK (a
+            // failure only costs latency, so it is not fatal)
+            let _ = conn.set_nodelay(true);
             let (reader_half, writer_half) = match (conn.try_clone(), conn.try_clone()) {
                 (Ok(r), Ok(w)) => (r, w),
                 _ => continue,
@@ -263,6 +267,9 @@ pub fn serve_listener(
 /// ends as a mid-stream disconnect — the prefix still executes.
 pub fn run_client(addr: &str) -> std::io::Result<()> {
     let conn = TcpStream::connect(addr)?;
+    // each forwarded line goes out at once, not behind Nagle's wait for
+    // the previous segment's ACK
+    conn.set_nodelay(true)?;
     let mut write_half = conn.try_clone()?;
     let writer = std::thread::spawn(move || {
         let mut input = std::io::stdin().lock();

@@ -419,8 +419,7 @@ impl Server {
     /// the store's (an empty store accepts any): the engine asserts
     /// matching dimensions, so such an object must never reach it.
     fn check_dims(&self, op: Option<Op>) -> Result<Option<Op>, String> {
-        let store = self.engine.shards().iter().find_map(|s| s.db().dims());
-        if let (Some(obj), Some(dims)) = (op.as_ref().and_then(Op::object), store) {
+        if let (Some(obj), Some(dims)) = (op.as_ref().and_then(Op::object), self.engine.dims()) {
             if obj.dims() != dims {
                 return Err(format!(
                     "object has {} dimensions, the store holds {dims}",
